@@ -95,6 +95,12 @@ fuzz-smoke:
 	done
 	$(GO) test ./internal/security -run '^$$' -fuzz '^FuzzOpenRecord$$' -fuzztime 10s
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
+	for target in FuzzDecodeRequest FuzzDecodeResponse; do \
+		$(GO) test ./internal/naming -run '^$$' -fuzz "^$$target$$" -fuzztime 10s || exit 1; \
+	done
+	for target in FuzzDecodeConnState FuzzDecodeHookBlob; do \
+		$(GO) test ./internal/core -run '^$$' -fuzz "^$$target$$" -fuzztime 10s || exit 1; \
+	done
 
 # bench runs the Figure 9 throughput benchmark (TCP vs NapletSocket per
 # message size).

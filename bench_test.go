@@ -13,6 +13,7 @@ package naplet
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -217,7 +218,7 @@ func BenchmarkFig13_OverheadModel(b *testing.B) {
 // ---- substrate micro-benchmarks ----
 
 func BenchmarkSub_ControlChannelRoundTrip(b *testing.B) {
-	server, err := rudp.Listen("127.0.0.1:0", func(_ *net.UDPAddr, req []byte) []byte { return req }, rudp.Config{})
+	server, err := rudp.Listen("127.0.0.1:0", func(_ netip.AddrPort, req []byte) []byte { return req }, rudp.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

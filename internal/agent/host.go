@@ -513,21 +513,20 @@ func sendBundle(dockAddr string, bd *bundle, secret []byte, dialTO, xferTO time.
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(xferTO))
 
+	// The message goes out in one write: the length prefix is reserved
+	// ahead of the gob body and patched once the body (and tag) is known.
 	var buf bytes.Buffer
+	buf.Write(make([]byte, 4))
 	if err := gob.NewEncoder(&buf).Encode(bd); err != nil {
 		return fmt.Errorf("agent: encoding bundle: %w", err)
 	}
-	body := buf.Bytes()
+	msg := buf.Bytes()
 	if len(secret) > 0 {
-		tag := dockTag(secret, body)
-		body = append(body, tag[:]...)
+		tag := dockTag(secret, msg[4:])
+		msg = append(msg, tag[:]...)
 	}
-	var lenb [4]byte
-	binary.BigEndian.PutUint32(lenb[:], uint32(len(body)))
-	if _, err := conn.Write(lenb[:]); err != nil {
-		return err
-	}
-	if _, err := conn.Write(body); err != nil {
+	binary.BigEndian.PutUint32(msg, uint32(len(msg)-4))
+	if _, err := conn.Write(msg); err != nil {
 		return err
 	}
 	// The dock replies with a length-prefixed status string; empty = OK.
@@ -608,10 +607,8 @@ func (h *Host) handleDock(conn net.Conn) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(h.bundleTO))
 	reply := func(msg string) {
-		var lenb [4]byte
-		binary.BigEndian.PutUint32(lenb[:], uint32(len(msg)))
-		conn.Write(lenb[:])
-		io.WriteString(conn, msg)
+		b := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(msg)), uint32(len(msg)))
+		conn.Write(append(b, msg...))
 	}
 
 	raw, err := readLenPrefixed(conn, maxBundleSize)

@@ -82,6 +82,10 @@ type Socket struct {
 	// writeMu serializes frame writes (application data, retransmits, and
 	// the pre-suspend flush).
 	writeMu sync.Mutex
+	// ckptMu orders this connection's journal checkpoints: each one
+	// snapshots and appends under it, so a snapshot taken before a read
+	// can never land in the journal after one taken past it.
+	ckptMu sync.Mutex
 	// flushMu serializes the actual socket writes of coalesced batches. The
 	// background flusher detaches a batch under writeMu but performs the
 	// write syscall under flushMu only, so writers keep encoding frames

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sort"
 	"strings"
 	"sync"
@@ -295,7 +296,7 @@ func NewController(cfg Config) (*Controller, error) {
 		})
 		// Every valid control packet from a peer is piggybacked liveness
 		// evidence, suppressing probes on busy connections.
-		rcfg.ActivityFn = func(from *net.UDPAddr) { ctrl.det.Observe(from.String()) }
+		rcfg.ActivityFn = func(from netip.AddrPort) { ctrl.det.Observe(from.String()) }
 	}
 	ep, err := rudp.Listen(cfg.ControlAddr, ctrl.handleControl, rcfg)
 	if err != nil {
@@ -568,7 +569,7 @@ func (ctrl *Controller) sessionKeyFor(id wire.ConnID, secret []byte) []byte {
 
 // ---- control-channel dispatch ----
 
-func (ctrl *Controller) handleControl(_ *net.UDPAddr, req []byte) []byte {
+func (ctrl *Controller) handleControl(_ netip.AddrPort, req []byte) []byte {
 	m, err := wire.DecodeControlMsg(req)
 	if err != nil {
 		ctrl.logf("control %s: %v", ctrl.cfg.HostName, err)

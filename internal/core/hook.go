@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"time"
@@ -137,14 +136,11 @@ func (ctrl *Controller) PreDepart(agentID string) ([]byte, error) {
 	blob.Trace = depart.Context().Marshal()
 	blob.DepartedAt = time.Now()
 	szStart := time.Now()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&blob); err != nil {
-		return nil, fmt.Errorf("napletsocket: serializing connections of %s: %w", agentID, err)
-	}
+	out := blob.encode()
 	o.suspendBD.Add(metrics.PhaseSerialize, time.Since(szStart))
 	ctrl.olog(obs.LevelInfo, "agent %s departing with %d connections (%d bytes serialized)",
-		agentID, len(blob.Conns), buf.Len())
-	return buf.Bytes(), nil
+		agentID, len(blob.Conns), len(out))
+	return out, nil
 }
 
 // snapshotLocked captures the connection's full state without disturbing
@@ -208,8 +204,8 @@ func (ctrl *Controller) PostArrive(agentID string, blob []byte) error {
 	if len(blob) == 0 {
 		return nil
 	}
-	var hb hookBlob
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&hb); err != nil {
+	hb, err := decodeHookBlob(blob)
+	if err != nil {
 		return fmt.Errorf("napletsocket: restoring connections of %s: %w", agentID, err)
 	}
 	ctrl.obs.arrivals.Inc()

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"time"
@@ -124,24 +122,20 @@ func (s *Socket) noteRecovered() {
 
 // ---- journal checkpoints ----
 
-// journalRecord captures the connection as one journal record. The gob
-// encode happens under mu: the snapshot shares payload slices with the live
+// journalRecord captures the connection as one journal record. The encode
+// happens under mu: the snapshot shares payload slices with the live
 // receive buffer and send log, whose pooled buffers may be recycled the
 // moment the lock is released.
-func (s *Socket) journalRecord() (journal.Record, error) {
-	var buf bytes.Buffer
+func (s *Socket) journalRecord() journal.Record {
 	s.mu.Lock()
 	st := s.snapshotLocked()
-	err := gob.NewEncoder(&buf).Encode(&st)
+	data := encodeConnState(&st)
 	s.mu.Unlock()
-	if err != nil {
-		return journal.Record{}, fmt.Errorf("napletsocket: encoding conn %s for journal: %w", wire.ConnID(st.ID), err)
-	}
 	return journal.Record{
 		Kind: journal.KindConn,
 		Key:  connJournalKey(st.LocalAgent, wire.ConnID(st.ID)),
-		Data: buf.Bytes(),
-	}, nil
+		Data: data,
+	}
 }
 
 // checkpointConn journals the connection's current state. Called at every
@@ -153,12 +147,9 @@ func (ctrl *Controller) checkpointConn(s *Socket) {
 	if j == nil {
 		return
 	}
-	rec, err := s.journalRecord()
-	if err != nil {
-		ctrl.logf("journal: %v", err)
-		return
-	}
-	if err := j.Append(rec); err != nil && !errors.Is(err, journal.ErrClosed) {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	if err := j.Append(s.journalRecord()); err != nil && !errors.Is(err, journal.ErrClosed) {
 		ctrl.logf("journal: checkpointing conn %s: %v", s.id, err)
 	}
 }
@@ -186,12 +177,7 @@ func (ctrl *Controller) CheckpointRecords(agentID string) []journal.Record {
 		if closed {
 			continue
 		}
-		rec, err := s.journalRecord()
-		if err != nil {
-			ctrl.logf("journal: %v", err)
-			continue
-		}
-		recs = append(recs, rec)
+		recs = append(recs, s.journalRecord())
 	}
 	return recs
 }
@@ -262,8 +248,8 @@ func (ctrl *Controller) RecoverConns() (int, error) {
 
 	restored := 0
 	for key, data := range j.Entries(journal.KindConn) {
-		var st connState
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+		st, err := decodeConnState(data)
+		if err != nil {
 			ctrl.logf("recover: undecodable conn record %q: %v", key, err)
 			continue
 		}

@@ -387,6 +387,58 @@ func TestSuspendResumeUnderControlLoss(t *testing.T) {
 	}
 }
 
+// TestCheckpointsLandInSnapshotOrder races background checkpoints of a
+// connection (as the lifecycle edges take them, on their own goroutines)
+// against a read followed by an explicit checkpoint. The journal must end on
+// a state at least as new as the explicit one: a stale snapshot appended
+// last would make a crash redeliver the message just read.
+func TestCheckpointsLandInSnapshotOrder(t *testing.T) {
+	svc := naming.NewService()
+	j, err := journal.Open(t.TempDir(), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	h1 := newFaultHost(t, "h1", svc, nil)
+	h2 := newFaultHost(t, "h2", svc, func(c *Config) { c.Journal = j })
+	client, server := faultPair(t, svc, h1, h2, "left", "right")
+	key := connJournalKey("right", server.ID())
+
+	for i := 0; i < 200; i++ {
+		if err := client.WriteMsg([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h2.ctrl.checkpointConn(server)
+			}
+		}()
+		m, err := server.ReadMsg()
+		if err != nil || len(m) != 1 || m[0] != byte(i) {
+			t.Fatalf("read %d: %v, %v", i, m, err)
+		}
+		h2.ctrl.checkpointConn(server)
+		close(stop)
+		<-done
+		st, err := decodeConnState(j.Entries(journal.KindConn)[key])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.RecvBuf) != 0 {
+			t.Fatalf("round %d: journal ends on a snapshot with %d unread messages after they were read",
+				i, len(st.RecvBuf))
+		}
+	}
+}
+
 // TestDoubleFailureConcurrentMigrationWithCrash composes the two failure
 // modes: both endpoints migrate concurrently (the Fig 4 overlap machinery),
 // and then the host one of them landed on crashes and is rebuilt from its

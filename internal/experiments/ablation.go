@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"time"
 
 	"naplet/internal/metrics"
@@ -81,7 +82,7 @@ func RunAblationHandoff(iters int) (*AblationHandoffResult, error) {
 	cred := hc.cred("opener")
 
 	// The port-query service the alternative design would need.
-	queryEP, err := rudp.Listen("127.0.0.1:0", func(_ *net.UDPAddr, req []byte) []byte {
+	queryEP, err := rudp.Listen("127.0.0.1:0", func(_ netip.AddrPort, req []byte) []byte {
 		return []byte("port=12345") // the port-table lookup the server would do
 	}, rudp.Config{})
 	if err != nil {
@@ -140,7 +141,7 @@ func RunAblationControl(iters int) (*AblationControlResult, error) {
 		iters = 200
 	}
 	// Reliable UDP side.
-	server, err := rudp.Listen("127.0.0.1:0", func(_ *net.UDPAddr, req []byte) []byte { return req }, rudp.Config{})
+	server, err := rudp.Listen("127.0.0.1:0", func(_ netip.AddrPort, req []byte) []byte { return req }, rudp.Config{})
 	if err != nil {
 		return nil, err
 	}

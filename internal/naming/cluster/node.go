@@ -5,7 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
-	"net"
+	"net/netip"
 	"sort"
 	"sync"
 	"time"
@@ -258,7 +258,7 @@ func (n *Node) Infos() []ShardInfo {
 }
 
 // handle is the node's rudp request handler.
-func (n *Node) handle(_ *net.UDPAddr, reqBytes []byte) []byte {
+func (n *Node) handle(_ netip.AddrPort, reqBytes []byte) []byte {
 	<-n.epReady // replication handlers forward through n.ep
 	var req request
 	if err := gob.NewDecoder(bytes.NewReader(reqBytes)).Decode(&req); err != nil {

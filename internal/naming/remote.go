@@ -1,13 +1,10 @@
 package naming
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"net"
-	"strings"
+	"net/netip"
 	"time"
 
 	"naplet/internal/rudp"
@@ -39,9 +36,18 @@ type rpcRequest struct {
 }
 
 type rpcResponse struct {
+	// Code names the sentinel behind a failure (codeOK on success); Err
+	// is the failure's message, for humans.
+	Code   errCode
 	Err    string
 	Record Record
 	Trace  []Move
+}
+
+// fail records err in the response.
+func (r *rpcResponse) fail(err error) {
+	r.Code = codeOf(err)
+	r.Err = err.Error()
 }
 
 // Server exposes a Service over the control-channel transport.
@@ -74,29 +80,30 @@ func (s *Server) Addr() string { return s.ep.Addr().String() }
 // Close stops the server.
 func (s *Server) Close() error { return s.ep.Close() }
 
-func (s *Server) handle(_ *net.UDPAddr, reqBytes []byte) []byte {
-	var req rpcRequest
-	if err := gob.NewDecoder(bytes.NewReader(reqBytes)).Decode(&req); err != nil {
-		return encodeResponse(rpcResponse{Err: "naming: bad request: " + err.Error()})
-	}
+func (s *Server) handle(_ netip.AddrPort, reqBytes []byte) []byte {
 	var resp rpcResponse
+	req, err := decodeRequest(reqBytes)
+	if err != nil {
+		resp.fail(err)
+		return resp.encode()
+	}
 	switch req.Op {
 	case opRegister:
 		if err := s.svc.Register(req.AgentID, req.Loc); err != nil {
-			resp.Err = err.Error()
+			resp.fail(err)
 		}
 	case opUpdate:
 		if err := s.svc.Update(req.AgentID, req.Loc, req.Epoch); err != nil {
-			resp.Err = err.Error()
+			resp.fail(err)
 		}
 	case opDeregister:
 		if err := s.svc.Deregister(req.AgentID); err != nil {
-			resp.Err = err.Error()
+			resp.fail(err)
 		}
 	case opLookup:
 		rec, err := s.svc.Lookup(context.Background(), req.AgentID)
 		if err != nil {
-			resp.Err = err.Error()
+			resp.fail(err)
 		} else {
 			resp.Record = rec
 		}
@@ -113,26 +120,16 @@ func (s *Server) handle(_ *net.UDPAddr, reqBytes []byte) []byte {
 		rec, err := s.svc.WaitFor(ctx, req.AgentID)
 		cancel()
 		if err != nil {
-			resp.Err = ErrNotFound.Error() + ": wait expired for " + req.AgentID
+			resp.fail(fmt.Errorf("%w: wait expired for %s", ErrNotFound, req.AgentID))
 		} else {
 			resp.Record = rec
 		}
 	case opTrace:
 		resp.Trace = s.svc.Trace(req.AgentID)
 	default:
-		resp.Err = fmt.Sprintf("naming: unknown op %d", req.Op)
+		resp.fail(fmt.Errorf("naming: unknown op %d", req.Op))
 	}
-	return encodeResponse(resp)
-}
-
-func encodeResponse(resp rpcResponse) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
-		// A response struct of plain values cannot fail to encode; treat it
-		// as a programming error.
-		panic("naming: encoding response: " + err.Error())
-	}
-	return buf.Bytes()
+	return resp.encode()
 }
 
 // Client talks to a remote Server. It implements Resolver.
@@ -160,33 +157,29 @@ func NewClientWithConfig(serverAddr string, rcfg rudp.Config) (*Client, error) {
 func (c *Client) Close() error { return c.ep.Close() }
 
 func (c *Client) call(ctx context.Context, req rpcRequest) (rpcResponse, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
-		return rpcResponse{}, fmt.Errorf("naming: encoding request: %w", err)
-	}
-	respBytes, err := c.ep.Request(ctx, c.serverAddr, buf.Bytes())
+	respBytes, err := c.ep.Request(ctx, c.serverAddr, req.encode())
 	if err != nil {
 		return rpcResponse{}, err
 	}
-	var resp rpcResponse
-	if err := gob.NewDecoder(bytes.NewReader(respBytes)).Decode(&resp); err != nil {
-		return rpcResponse{}, fmt.Errorf("naming: decoding response: %w", err)
+	resp, err := decodeResponse(respBytes)
+	if err != nil {
+		return rpcResponse{}, err
 	}
-	if resp.Err != "" {
-		return resp, remoteError(resp.Err)
+	if resp.Code != codeOK {
+		return resp, remoteError(resp.Code, resp.Err)
 	}
 	return resp, nil
 }
 
-// remoteError maps a serialized error string back onto the package's
+// remoteError maps a response's error code back onto the package's
 // sentinel errors so errors.Is keeps working across the wire.
-func remoteError(msg string) error {
-	switch {
-	case strings.Contains(msg, ErrNotFound.Error()):
+func remoteError(code errCode, msg string) error {
+	switch code {
+	case codeNotFound:
 		return fmt.Errorf("%w (remote: %s)", ErrNotFound, msg)
-	case strings.Contains(msg, ErrStale.Error()):
+	case codeStale:
 		return fmt.Errorf("%w (remote: %s)", ErrStale, msg)
-	case strings.Contains(msg, ErrExists.Error()):
+	case codeExists:
 		return fmt.Errorf("%w (remote: %s)", ErrExists, msg)
 	default:
 		return fmt.Errorf("naming: remote error: %s", msg)

@@ -20,7 +20,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -178,7 +178,7 @@ func (o *Office) Lookup(agentID string) (*Box, bool) {
 }
 
 // handle serves one inbound delivery.
-func (o *Office) handle(_ *net.UDPAddr, reqBytes []byte) []byte {
+func (o *Office) handle(_ netip.AddrPort, reqBytes []byte) []byte {
 	var req deliverRequest
 	if err := gob.NewDecoder(bytes.NewReader(reqBytes)).Decode(&req); err != nil {
 		return encodeReply(deliverReply{Status: "bad request: " + err.Error()})

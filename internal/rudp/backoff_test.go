@@ -3,7 +3,7 @@ package rudp
 import (
 	"context"
 	"errors"
-	"net"
+	"net/netip"
 	"testing"
 	"time"
 )
@@ -124,14 +124,14 @@ func TestJitterBounds(t *testing.T) {
 // both request and response paths.
 func TestActivityFn(t *testing.T) {
 	seen := make(chan string, 16)
-	srv, err := Listen("127.0.0.1:0", func(from *net.UDPAddr, req []byte) []byte {
+	srv, err := Listen("127.0.0.1:0", func(from netip.AddrPort, req []byte) []byte {
 		return append([]byte("ok:"), req...)
-	}, Config{ActivityFn: func(from *net.UDPAddr) { seen <- from.String() }})
+	}, Config{ActivityFn: func(from netip.AddrPort) { seen <- from.String() }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := Listen("127.0.0.1:0", nil, Config{ActivityFn: func(from *net.UDPAddr) { seen <- from.String() }})
+	cli, err := Listen("127.0.0.1:0", nil, Config{ActivityFn: func(from netip.AddrPort) { seen <- from.String() }})
 	if err != nil {
 		t.Fatal(err)
 	}

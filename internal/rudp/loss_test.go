@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,7 +17,7 @@ import (
 // run exactly once per request.
 func TestRequestsSurviveRandomLoss(t *testing.T) {
 	var handled sync.Map // request body -> invocation count
-	h := func(_ *net.UDPAddr, req []byte) []byte {
+	h := func(_ netip.AddrPort, req []byte) []byte {
 		key := string(req)
 		v, _ := handled.LoadOrStore(key, new(atomic.Int64))
 		v.(*atomic.Int64).Add(1)

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,7 +76,7 @@ func (e *UnreachableError) Is(target error) bool {
 // It is invoked at most once per request id even if the request is
 // retransmitted. Handlers run on their own goroutines and must be safe for
 // concurrent use.
-type Handler func(from *net.UDPAddr, req []byte) (resp []byte)
+type Handler func(from netip.AddrPort, req []byte) (resp []byte)
 
 // Config tunes an endpoint. The zero value selects the defaults.
 type Config struct {
@@ -109,7 +110,7 @@ type Config struct {
 	// every structurally valid incoming packet. The failure detector
 	// piggybacks on it: any control traffic from a peer is evidence of
 	// life, suppressing explicit heartbeat probes.
-	ActivityFn func(from *net.UDPAddr)
+	ActivityFn func(from netip.AddrPort)
 
 	// rng is a test seam for the jitter source; nil means math/rand.
 	rng func() float64
@@ -160,7 +161,7 @@ type Endpoint struct {
 
 	mu      sync.Mutex
 	pending map[uint64]chan []byte
-	cache   map[cacheKey]*cacheEntry
+	cache   map[cacheKey]cacheEntry
 	nextID  uint64
 	closed  bool
 
@@ -178,15 +179,18 @@ type Endpoint struct {
 }
 
 type cacheKey struct {
-	addr string
+	from netip.AddrPort
 	id   uint64
 }
 
+// cacheEntry is one request's slot in the response cache, held by value.
+// wait exists only while the handler runs: it is closed and cleared once
+// resp is valid, so a finished entry is just the response and its arrival
+// time.
 type cacheEntry struct {
-	// done is closed once resp is valid.
-	done chan struct{}
 	resp []byte
 	when time.Time
+	wait chan struct{}
 }
 
 // Listen opens an endpoint on the given UDP address ("" or ":0" for an
@@ -210,7 +214,7 @@ func Listen(addr string, h Handler, cfg Config) (*Endpoint, error) {
 		cfg:     cfg.withDefaults(),
 		clk:     realClock{},
 		pending: make(map[uint64]chan []byte),
-		cache:   make(map[cacheKey]*cacheEntry),
+		cache:   make(map[cacheKey]cacheEntry),
 		nextID:  rand.Uint64() | 1,
 		done:    make(chan struct{}),
 	}
@@ -257,10 +261,13 @@ func (e *Endpoint) Request(ctx context.Context, raddr string, payload []byte) ([
 	if len(payload) > MaxPayload {
 		return nil, fmt.Errorf("rudp: payload %d exceeds limit %d", len(payload), MaxPayload)
 	}
-	dst, err := net.ResolveUDPAddr("udp", raddr)
+	udst, err := net.ResolveUDPAddr("udp", raddr)
 	if err != nil {
 		return nil, fmt.Errorf("rudp: resolving %q: %w", raddr, err)
 	}
+	// Unmap so a v4 destination is writable from a v4 socket.
+	dst := udst.AddrPort()
+	dst = netip.AddrPortFrom(dst.Addr().Unmap(), dst.Port())
 
 	e.mu.Lock()
 	if e.closed {
@@ -324,7 +331,7 @@ func (e *Endpoint) jittered(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * (1 + e.cfg.Jitter*(e.cfg.rng()-0.5)))
 }
 
-func (e *Endpoint) send(dst *net.UDPAddr, pkt []byte) error {
+func (e *Endpoint) send(dst netip.AddrPort, pkt []byte) error {
 	if e.cfg.DropFn != nil && e.cfg.DropFn(pkt) {
 		e.stats.packetsDropped.Add(1)
 		return nil
@@ -334,11 +341,11 @@ func (e *Endpoint) send(dst *net.UDPAddr, pkt []byte) error {
 		cp := make([]byte, len(pkt))
 		copy(cp, pkt)
 		time.AfterFunc(e.cfg.SendDelay, func() {
-			e.conn.WriteToUDP(cp, dst)
+			e.conn.WriteToUDPAddrPort(cp, dst)
 		})
 		return nil
 	}
-	_, err := e.conn.WriteToUDP(pkt, dst)
+	_, err := e.conn.WriteToUDPAddrPort(pkt, dst)
 	if err != nil {
 		e.mu.Lock()
 		closed := e.closed
@@ -364,7 +371,7 @@ func (e *Endpoint) readLoop() {
 	defer e.wg.Done()
 	buf := make([]byte, MaxPayload+headerSize)
 	for {
-		n, from, err := e.conn.ReadFromUDP(buf)
+		n, from, err := e.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-e.done:
@@ -392,6 +399,9 @@ func (e *Endpoint) readLoop() {
 		id := binary.BigEndian.Uint64(buf[4:12])
 		payload := make([]byte, n-headerSize)
 		copy(payload, buf[headerSize:n])
+		// A dual-stack socket reports v4 peers as v4-mapped v6; unmap so a
+		// peer has one spelling whatever the socket's family.
+		from = netip.AddrPortFrom(from.Addr().Unmap(), from.Port())
 		if e.cfg.ActivityFn != nil {
 			e.cfg.ActivityFn(from)
 		}
@@ -406,8 +416,8 @@ func (e *Endpoint) readLoop() {
 
 // handleRequest serves a request, invoking the handler exactly once per
 // (peer, id) and replaying the cached response for duplicates.
-func (e *Endpoint) handleRequest(from *net.UDPAddr, id uint64, payload []byte) {
-	key := cacheKey{addr: from.String(), id: id}
+func (e *Endpoint) handleRequest(from netip.AddrPort, id uint64, payload []byte) {
+	key := cacheKey{from: from, id: id}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -416,20 +426,31 @@ func (e *Endpoint) handleRequest(from *net.UDPAddr, id uint64, payload []byte) {
 	if ent, ok := e.cache[key]; ok {
 		e.mu.Unlock()
 		e.stats.duplicateRequests.Add(1)
-		// Re-send the response once it is (or becomes) ready; don't block
-		// the read loop waiting on a slow handler.
+		if ent.wait == nil {
+			e.send(from, encodePacket(kindResponse, id, ent.resp))
+			e.stats.responsesServed.Add(1)
+			return
+		}
+		// Re-send the response once it is ready; don't block the read loop
+		// waiting on a slow handler.
 		go func() {
 			select {
-			case <-ent.done:
-				e.send(from, encodePacket(kindResponse, id, ent.resp))
-				e.stats.responsesServed.Add(1)
+			case <-ent.wait:
+				e.mu.Lock()
+				ent, ok := e.cache[key]
+				e.mu.Unlock()
+				if ok {
+					e.send(from, encodePacket(kindResponse, id, ent.resp))
+					e.stats.responsesServed.Add(1)
+				}
 			case <-e.done:
 			}
 		}()
 		return
 	}
-	ent := &cacheEntry{done: make(chan struct{}), when: time.Now()}
-	e.cache[key] = ent
+	wait := make(chan struct{})
+	when := time.Now()
+	e.cache[key] = cacheEntry{when: when, wait: wait}
 	e.mu.Unlock()
 
 	e.wg.Add(1)
@@ -440,8 +461,10 @@ func (e *Endpoint) handleRequest(from *net.UDPAddr, id uint64, payload []byte) {
 			e.stats.handlerInvoked.Add(1)
 			resp = e.handler(from, payload)
 		}
-		ent.resp = resp
-		close(ent.done)
+		e.mu.Lock()
+		e.cache[key] = cacheEntry{resp: resp, when: when}
+		e.mu.Unlock()
+		close(wait)
 		e.send(from, encodePacket(kindResponse, id, resp))
 		e.stats.responsesServed.Add(1)
 	}()
@@ -471,13 +494,9 @@ func (e *Endpoint) janitor() {
 		case now := <-tick.C:
 			e.mu.Lock()
 			for k, ent := range e.cache {
-				select {
-				case <-ent.done:
-					if now.Sub(ent.when) > e.cfg.ResponseCacheTTL {
-						delete(e.cache, k)
-					}
-				default:
-					// Handler still running; keep the entry.
+				// An entry whose handler still runs is kept.
+				if ent.wait == nil && now.Sub(ent.when) > e.cfg.ResponseCacheTTL {
+					delete(e.cache, k)
 				}
 			}
 			e.mu.Unlock()

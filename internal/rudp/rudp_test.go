@@ -5,7 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,7 +28,7 @@ func newPair(t *testing.T, h Handler, cfg Config) (client, server *Endpoint) {
 }
 
 func TestRequestResponse(t *testing.T) {
-	echo := func(_ *net.UDPAddr, req []byte) []byte { return append([]byte("echo:"), req...) }
+	echo := func(_ netip.AddrPort, req []byte) []byte { return append([]byte("echo:"), req...) }
 	client, server := newPair(t, echo, Config{})
 	resp, err := client.Request(context.Background(), server.Addr().String(), []byte("ping"))
 	if err != nil {
@@ -40,7 +40,7 @@ func TestRequestResponse(t *testing.T) {
 }
 
 func TestConcurrentRequests(t *testing.T) {
-	h := func(_ *net.UDPAddr, req []byte) []byte { return req }
+	h := func(_ netip.AddrPort, req []byte) []byte { return req }
 	client, server := newPair(t, h, Config{})
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -68,7 +68,7 @@ func TestConcurrentRequests(t *testing.T) {
 
 func TestRetransmissionRecoversFromLoss(t *testing.T) {
 	var reqCount atomic.Int64
-	h := func(_ *net.UDPAddr, req []byte) []byte {
+	h := func(_ netip.AddrPort, req []byte) []byte {
 		reqCount.Add(1)
 		return []byte("ok")
 	}
@@ -110,7 +110,7 @@ func TestRetransmissionRecoversFromLoss(t *testing.T) {
 
 func TestExactlyOnceHandlerUnderDuplicateRequests(t *testing.T) {
 	var invocations atomic.Int64
-	h := func(_ *net.UDPAddr, req []byte) []byte {
+	h := func(_ netip.AddrPort, req []byte) []byte {
 		invocations.Add(1)
 		return []byte("done")
 	}
@@ -174,7 +174,7 @@ func TestRequestTimeout(t *testing.T) {
 
 func TestRequestContextCancel(t *testing.T) {
 	block := make(chan struct{})
-	h := func(_ *net.UDPAddr, req []byte) []byte {
+	h := func(_ netip.AddrPort, req []byte) []byte {
 		<-block
 		return nil
 	}
@@ -218,7 +218,7 @@ func TestOversizePayloadRejected(t *testing.T) {
 }
 
 func TestGarbagePacketsIgnored(t *testing.T) {
-	h := func(_ *net.UDPAddr, req []byte) []byte { return []byte("alive") }
+	h := func(_ netip.AddrPort, req []byte) []byte { return []byte("alive") }
 	client, server := newPair(t, h, Config{})
 	// Throw junk at the server from a raw socket.
 	junkSender, err := Listen("127.0.0.1:0", nil, Config{})

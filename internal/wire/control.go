@@ -168,53 +168,8 @@ type ControlReply struct {
 
 const controlMagic = 0x4e43 // "NC"
 
-var (
-	// ErrBadControl reports a malformed control message or reply.
-	ErrBadControl = errors.New("wire: malformed control message")
-	// errShort reports truncated input during decoding.
-	errShort = fmt.Errorf("%w: truncated", ErrBadControl)
-)
-
-// appendString appends a length-prefixed string.
-func appendString(b []byte, s string) []byte {
-	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-// appendBytes appends a length-prefixed byte slice.
-func appendBytes(b []byte, p []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(p)))
-	return append(b, p...)
-}
-
-func takeString(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, errShort
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return "", nil, errShort
-	}
-	return string(b[:n]), b[n:], nil
-}
-
-func takeBytes(b []byte) ([]byte, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, errShort
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if len(b) < n {
-		return nil, nil, errShort
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out, b[n:], nil
-}
+// ErrBadControl reports a malformed control message or reply.
+var ErrBadControl = errors.New("wire: malformed control message")
 
 // SigningBytes returns the canonical encoding of m with a zeroed tag; it is
 // the input to the session HMAC.
@@ -232,17 +187,17 @@ func (m *ControlMsg) Encode() []byte {
 	b = binary.BigEndian.AppendUint16(b, controlMagic)
 	b = append(b, byte(m.Type))
 	b = append(b, m.ConnID[:]...)
-	b = appendString(b, m.From)
-	b = appendString(b, m.To)
+	b = AppendString(b, m.From)
+	b = AppendString(b, m.To)
 	b = binary.BigEndian.AppendUint64(b, m.Nonce)
-	b = appendString(b, m.DataAddr)
-	b = appendString(b, m.ControlAddr)
+	b = AppendString(b, m.DataAddr)
+	b = AppendString(b, m.ControlAddr)
 	b = binary.BigEndian.AppendUint64(b, m.LastSeq)
 	b = append(b, m.TransportID[:]...)
 	b = append(b, m.TraceID[:]...)
 	b = append(b, m.SpanID[:]...)
 	b = binary.BigEndian.AppendUint64(b, m.LocEpoch)
-	b = appendBytes(b, m.Payload)
+	b = AppendBytes(b, m.Payload)
 	b = append(b, m.Tag[:]...)
 	return b
 }
@@ -252,59 +207,24 @@ func DecodeControlMsg(b []byte) (*ControlMsg, error) {
 	if len(b) < 2 || binary.BigEndian.Uint16(b) != controlMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadControl)
 	}
-	b = b[2:]
-	if len(b) < 1+16 {
-		return nil, errShort
+	d := NewDecoder(b[2:])
+	m := &ControlMsg{Type: MsgType(d.Uint8())}
+	d.Fixed(m.ConnID[:])
+	m.From = d.Str()
+	m.To = d.Str()
+	m.Nonce = d.Uint64()
+	m.DataAddr = d.Str()
+	m.ControlAddr = d.Str()
+	m.LastSeq = d.Uint64()
+	d.Fixed(m.TransportID[:])
+	d.Fixed(m.TraceID[:])
+	d.Fixed(m.SpanID[:])
+	m.LocEpoch = d.Uint64()
+	m.Payload = d.Bytes()
+	d.Fixed(m.Tag[:])
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadControl, err)
 	}
-	m := &ControlMsg{Type: MsgType(b[0])}
-	copy(m.ConnID[:], b[1:17])
-	b = b[17:]
-	var err error
-	if m.From, b, err = takeString(b); err != nil {
-		return nil, err
-	}
-	if m.To, b, err = takeString(b); err != nil {
-		return nil, err
-	}
-	if len(b) < 8 {
-		return nil, errShort
-	}
-	m.Nonce = binary.BigEndian.Uint64(b)
-	b = b[8:]
-	if m.DataAddr, b, err = takeString(b); err != nil {
-		return nil, err
-	}
-	if m.ControlAddr, b, err = takeString(b); err != nil {
-		return nil, err
-	}
-	if len(b) < 8 {
-		return nil, errShort
-	}
-	m.LastSeq = binary.BigEndian.Uint64(b)
-	b = b[8:]
-	if len(b) < 16 {
-		return nil, errShort
-	}
-	copy(m.TransportID[:], b[:16])
-	b = b[16:]
-	if len(b) < 16+8 {
-		return nil, errShort
-	}
-	copy(m.TraceID[:], b[:16])
-	copy(m.SpanID[:], b[16:24])
-	b = b[24:]
-	if len(b) < 8 {
-		return nil, errShort
-	}
-	m.LocEpoch = binary.BigEndian.Uint64(b)
-	b = b[8:]
-	if m.Payload, b, err = takeBytes(b); err != nil {
-		return nil, err
-	}
-	if len(b) != TagSize {
-		return nil, fmt.Errorf("%w: bad tag length %d", ErrBadControl, len(b))
-	}
-	copy(m.Tag[:], b)
 	if m.Type == MsgInvalid || m.Type > MsgHeartbeat {
 		return nil, fmt.Errorf("%w: unknown type %d", ErrBadControl, m.Type)
 	}
@@ -326,9 +246,9 @@ func (r *ControlReply) Encode() []byte {
 	b = binary.BigEndian.AppendUint16(b, controlMagic)
 	b = append(b, byte(r.Verdict))
 	b = append(b, r.ConnID[:]...)
-	b = appendString(b, r.Reason)
+	b = AppendString(b, r.Reason)
 	b = binary.BigEndian.AppendUint64(b, r.LastSeq)
-	b = appendBytes(b, r.Payload)
+	b = AppendBytes(b, r.Payload)
 	b = append(b, r.Tag[:]...)
 	return b
 }
@@ -338,29 +258,16 @@ func DecodeControlReply(b []byte) (*ControlReply, error) {
 	if len(b) < 2 || binary.BigEndian.Uint16(b) != controlMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadControl)
 	}
-	b = b[2:]
-	if len(b) < 1+16 {
-		return nil, errShort
+	d := NewDecoder(b[2:])
+	r := &ControlReply{Verdict: Verdict(d.Uint8())}
+	d.Fixed(r.ConnID[:])
+	r.Reason = d.Str()
+	r.LastSeq = d.Uint64()
+	r.Payload = d.Bytes()
+	d.Fixed(r.Tag[:])
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadControl, err)
 	}
-	r := &ControlReply{Verdict: Verdict(b[0])}
-	copy(r.ConnID[:], b[1:17])
-	b = b[17:]
-	var err error
-	if r.Reason, b, err = takeString(b); err != nil {
-		return nil, err
-	}
-	if len(b) < 8 {
-		return nil, errShort
-	}
-	r.LastSeq = binary.BigEndian.Uint64(b)
-	b = b[8:]
-	if r.Payload, b, err = takeBytes(b); err != nil {
-		return nil, err
-	}
-	if len(b) != TagSize {
-		return nil, fmt.Errorf("%w: bad tag length %d", ErrBadControl, len(b))
-	}
-	copy(r.Tag[:], b)
 	if r.Verdict == VerdictInvalid || r.Verdict > VerdictReject {
 		return nil, fmt.Errorf("%w: unknown verdict %d", ErrBadControl, r.Verdict)
 	}

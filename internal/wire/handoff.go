@@ -68,8 +68,8 @@ func (h *HandoffHeader) encode() []byte {
 	b = binary.BigEndian.AppendUint16(b, handoffMagic)
 	b = append(b, byte(h.Purpose))
 	b = append(b, h.ConnID[:]...)
-	b = appendString(b, h.TargetAgent)
-	b = appendString(b, h.FromAgent)
+	b = AppendString(b, h.TargetAgent)
+	b = AppendString(b, h.FromAgent)
 	b = binary.BigEndian.AppendUint64(b, h.Nonce)
 	b = append(b, h.Token[:]...)
 	return b
@@ -112,29 +112,16 @@ func decodeHandoff(b []byte) (*HandoffHeader, error) {
 	if len(b) < 2 || binary.BigEndian.Uint16(b) != handoffMagic {
 		return nil, fmt.Errorf("%w: bad handoff magic", ErrBadControl)
 	}
-	b = b[2:]
-	if len(b) < 1+16 {
-		return nil, errShort
+	d := NewDecoder(b[2:])
+	h := &HandoffHeader{Purpose: HandoffPurpose(d.Uint8())}
+	d.Fixed(h.ConnID[:])
+	h.TargetAgent = d.Str()
+	h.FromAgent = d.Str()
+	h.Nonce = d.Uint64()
+	d.Fixed(h.Token[:])
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadControl, err)
 	}
-	h := &HandoffHeader{Purpose: HandoffPurpose(b[0])}
-	copy(h.ConnID[:], b[1:17])
-	b = b[17:]
-	var err error
-	if h.TargetAgent, b, err = takeString(b); err != nil {
-		return nil, err
-	}
-	if h.FromAgent, b, err = takeString(b); err != nil {
-		return nil, err
-	}
-	if len(b) < 8 {
-		return nil, errShort
-	}
-	h.Nonce = binary.BigEndian.Uint64(b)
-	b = b[8:]
-	if len(b) != TagSize {
-		return nil, fmt.Errorf("%w: bad token length %d", ErrBadControl, len(b))
-	}
-	copy(h.Token[:], b)
 	if h.Purpose != HandoffConnect && h.Purpose != HandoffResume {
 		return nil, fmt.Errorf("%w: unknown purpose %d", ErrBadControl, h.Purpose)
 	}

@@ -254,12 +254,12 @@ func encodeV1Hello(h *TransportHello) []byte {
 	}
 	b = append(b, flags)
 	b = append(b, h.ID[:]...)
-	b = appendString(b, h.Host)
-	b = appendString(b, h.Addr)
-	b = appendBytes(b, h.Public)
+	b = AppendString(b, h.Host)
+	b = AppendString(b, h.Addr)
+	b = AppendBytes(b, h.Public)
 	b = binary.BigEndian.AppendUint64(b, h.RecvSeq)
-	b = appendBytes(b, h.ResumeTag)
-	b = appendBytes(b, h.Trace)
+	b = AppendBytes(b, h.ResumeTag)
+	b = AppendBytes(b, h.Trace)
 	return b
 }
 

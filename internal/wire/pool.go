@@ -74,7 +74,7 @@ func GetPayload(n int) []byte {
 }
 
 // PutPayload returns a buffer to the pool. It accepts any slice — including
-// buffers that did not originate here (e.g. gob-decoded checkpoint state):
+// buffers that did not originate here (e.g. decoded checkpoint state):
 // the buffer is filed under the largest class its capacity satisfies, and
 // dropped when it is smaller than every class. Callers must not retain any
 // alias to b after the call.
